@@ -101,10 +101,10 @@ smoke-kron:
 	$(PYTHON) benchmarks/smoke_kron.py
 
 # End-to-end smoke of the persistent LP backend: M = 3 population sweep
-# solved on the persistent HiGHS backend vs the stateless scipy baseline
-# (agreement <= 1e-9), cross-N basis-lineage warm starts with a gated
-# iteration-count win, and byte-identical disk replay under the other
-# backend label (backend-invariant fingerprint).
+# solved on the persistent HiGHS backend vs the stateless linprog oracle
+# in tests/oracles (agreement <= 1e-9), cross-N basis-lineage warm starts
+# with a gated iteration-count win, and byte-identical disk replay from a
+# fresh registry.
 smoke-lp:
 	$(PYTHON) benchmarks/smoke_lp.py
 

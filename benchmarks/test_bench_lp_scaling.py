@@ -19,15 +19,11 @@ assembly speedup).
 import time
 
 import numpy as np
-import pytest
 
-from repro.core import (
-    AssemblyCache,
-    build_constraints,
-    build_constraints_reference,
-    canonical_form,
-)
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from oracles.assembly_reference import build_constraints_reference
+from oracles.lp import linprog_optimum, spec_metric
+from repro.core import AssemblyCache, Interval, build_constraints, canonical_form
+from repro.core.lpbackend import get_lp_lineage_store
 from repro.experiments import scaling
 from repro.runtime.batch import BatchLPSolver
 
@@ -88,50 +84,59 @@ WARM_SWEEP_NS = (8, 9, 10)
 def test_lp_persistent_speedup(perf_report):
     """Persistent warm-started backend vs the seed's stateless solve path.
 
-    Cold baseline = the seed behaviour: a fresh stateless scipy
-    ``linprog`` dual-simplex solve per bound (the seed's auto threshold
-    kept every catalog instance on simplex).  Warm = one
-    ``BatchLPSolver`` per sweep point on the persistent HiGHS backend
-    with auto method selection and the cross-N basis lineage.  Both
-    paths share a hot assembly cache so the comparison isolates solve
-    cost.  Values must agree to 1e-9 at every point; the large preset
-    additionally gates the tentpole's >= 3x sweep speedup.
+    Cold baseline = the seed behaviour, kept as the ``oracles.lp`` test
+    oracle: a fresh stateless ``linprog`` dual-simplex solve per bound
+    (the seed's auto threshold kept every catalog instance on simplex).
+    Warm = one ``BatchLPSolver`` per sweep point on the persistent HiGHS
+    backend with auto method selection and the cross-N basis lineage.
+    Both paths share a hot assembly cache so the comparison isolates
+    solve cost.  Values must agree to 1e-7 at every point; the large
+    preset additionally gates the tentpole's >= 3x sweep speedup.
     """
-    if not highs_available():
-        pytest.skip("no HiGHS binding importable; persistent backend absent")
     preset = bench_preset()
     M = 10
     ns = PERSISTENT_SWEEP_NS[preset]
-    specs = ("throughput[0]",)
+    spec = "throughput[0]"
     cache = AssemblyCache()
     nets = {N: scaling.ring_of_maps(M, N) for N in ns}
     for net in nets.values():  # pre-warm assembly plans for both paths
         cache.plan_for(net, triples=False, include_redundant=False)
 
-    def sweep(backend: str, method: str):
+    def seed_sweep():
+        out = {}
+        for N in ns:
+            t0 = time.perf_counter()
+            system = build_constraints(nets[N], triples=False, cache=cache)
+            metric = spec_metric(nets[N], system.vi, spec)
+            lo, hi = (
+                linprog_optimum(system, metric, sense, method="highs")
+                for sense in ("min", "max")
+            )
+            out[N] = (
+                time.perf_counter() - t0,
+                lo.n_iterations + hi.n_iterations,
+                Interval(lower=lo.value, upper=hi.value),
+            )
+        return out
+
+    def persistent_sweep():
         get_lp_lineage_store().clear()
         out = {}
         for N in ns:
             t0 = time.perf_counter()
-            solver = BatchLPSolver(
-                nets[N],
-                triples=False,
-                method=method,
-                backend=backend,
-                assembly_cache=cache,
-            )
-            bounds = solver.bound_specs(specs)
-            out[N] = (time.perf_counter() - t0, solver, bounds[specs[0]])
+            solver = BatchLPSolver(nets[N], triples=False, assembly_cache=cache)
+            bounds = solver.bound_specs((spec,))
+            out[N] = (time.perf_counter() - t0, solver, bounds[spec])
         return out
 
-    # Seed path: stateless scipy linprog, dual simplex at every size.
-    cold = sweep("scipy", "highs")
+    # Seed path: stateless linprog, dual simplex at every size.
+    cold = seed_sweep()
     # Tentpole path: persistent model, auto method, basis lineage.
-    warm = sweep("highs", "auto")
+    warm = persistent_sweep()
 
     t_cold = t_warm = 0.0
     for N in ns:
-        tc, sc, bc = cold[N]
+        tc, cold_iterations, bc = cold[N]
         tw, sw, bw = warm[N]
         # Cross-METHOD comparison (cold dual simplex vs auto = interior
         # point at this size), so the bar is IPM termination tolerance,
@@ -151,9 +156,9 @@ def test_lp_persistent_speedup(perf_report):
             t_cold_s=tc,
             t_warm_s=tw,
             value_gap=gap,
-            cold_method=sc.method,
+            cold_method="highs",
             warm_method=sw.method,
-            cold_iterations=sc.n_iterations,
+            cold_iterations=cold_iterations,
             warm_iterations=sw.n_iterations,
             warm_starts=sw.n_warm_starts,
             basis_reuse=sw.n_basis_reuse,
@@ -184,8 +189,6 @@ def test_lp_warm_start_iterations(perf_report):
     The mapped alien basis must cut total simplex iterations while the
     bound values stay within 1e-9.
     """
-    if not highs_available():
-        pytest.skip("no HiGHS binding importable; persistent backend absent")
     preset = bench_preset()
     M = 3
     specs = ("throughput[0]",)
@@ -199,7 +202,6 @@ def test_lp_warm_start_iterations(perf_report):
             solver = BatchLPSolver(
                 scaling.ring_of_maps(M, N),
                 triples=False,
-                backend="highs",
                 warm_start=warm_start,
                 assembly_cache=cache,
             )

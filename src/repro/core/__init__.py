@@ -19,11 +19,7 @@ from repro.core.assembly import (
     get_assembly_cache,
     topology_key,
 )
-from repro.core.constraints import (
-    ConstraintSystem,
-    build_constraints,
-    build_constraints_reference,
-)
+from repro.core.constraints import ConstraintSystem, build_constraints
 from repro.core.objectives import (
     LinearMetric,
     throughput_metric,
@@ -50,7 +46,6 @@ __all__ = [
     "ConstraintSystem",
     "assemble",
     "build_constraints",
-    "build_constraints_reference",
     "canonical_form",
     "get_assembly_cache",
     "topology_key",

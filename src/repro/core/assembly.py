@@ -2,8 +2,8 @@
 
 This module is the performance kernel behind :func:`build_constraints`:
 instead of emitting the constraint matrix row by row (the seed
-implementation, preserved verbatim in
-:mod:`repro.core.assembly_reference`), every constraint family computes its
+implementation, preserved verbatim as the test oracle
+``tests/oracles/assembly_reference.py``), every constraint family computes its
 full COO ``(rows, cols, vals)`` arrays in one shot with numpy broadcasting
 over ``(a, n, h)`` index grids.  The two implementations produce the *same
 polytope, bit for bit*: identical rows (up to row order), identical labels,

@@ -37,8 +37,9 @@ linear in ``n_j``, which is exactly ``G``).
 Assembly is performed by the vectorized block kernel in
 :mod:`repro.core.assembly` (family-level COO emission over ``(a, n, h)``
 index grids, with per-topology pattern caching); the original row-by-row
-emitter survives as :func:`build_constraints_reference` and the two are
-asserted polytope-identical by ``tests/core/test_assembly_equivalence``.
+emitter survives as a test oracle (``tests/oracles/assembly_reference.py``)
+and the two are asserted polytope-identical by
+``tests/core/test_assembly_equivalence``.
 """
 
 from __future__ import annotations
@@ -50,15 +51,10 @@ from repro.core.assembly import (
     _resolve_triples,
     assemble,
 )
-from repro.core.assembly_reference import build_constraints_reference
 from repro.core.variables import VariableIndex
 from repro.network.model import Network, require_closed
 
-__all__ = [
-    "ConstraintSystem",
-    "build_constraints",
-    "build_constraints_reference",
-]
+__all__ = ["ConstraintSystem", "build_constraints"]
 
 
 def build_constraints(

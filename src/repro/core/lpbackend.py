@@ -1,10 +1,11 @@
-"""Persistent warm-started HiGHS LP backend.
+"""Persistent warm-started HiGHS LP backend: the one LP solve path.
 
-:func:`repro.core.lp.solve_lp_core` is stateless: every solve rebuilds the
-HiGHS model from the scipy matrices, runs presolve from scratch, and throws
-the optimal basis away.  On the marginal-balance polytopes that statelessness
-is exactly where the time goes — ``BENCH_lp_scaling.json`` showed a single
-M = 10, N = 25 bound pair at 35.9s while constraint assembly took 0.07s.
+Every LP bound in the package is solved here.  The alternative — a
+stateless solve that rebuilds the HiGHS model from the scipy matrices,
+runs presolve from scratch and throws the optimal basis away — is exactly
+where the time went on the marginal-balance polytopes:
+``BENCH_lp_scaling.json`` showed a single M = 10, N = 25 bound pair at
+35.9s while constraint assembly took 0.07s.
 
 This module keeps the solver alive instead:
 
@@ -14,16 +15,16 @@ This module keeps the solver alive instead:
     vector (``changeColsCost``) and the optimization sense.  The min/max
     pair of a metric reuses the optimal basis left by the first solve, and
     sweeps over adjacent populations warm-start from a *mapped* basis (see
-    below).  The scipy ``linprog`` retry ladder (alternate algorithm, then
-    simplex with presolve off) is preserved verbatim.
+    below).  :meth:`PersistentLP.solve` holds the package's only retry
+    ladder (alternate algorithm, then simplex with presolve off).
 
 ``choose_lp_method``
-    the shared auto-method rule, re-tuned against this backend's
-    measurements.  The seed inherited ``_IPM_THRESHOLD = 20_000``; measured
-    on the ring-of-MAP(2) family, interior point already beats dual simplex
-    at ~850 variables (0.16s vs 0.20s per pair) and wins by 4-6x from
-    ~4,000 variables up (M = 10, N = 10: 38-72s per simplex solve vs 3-4s
-    IPM).  The corrected threshold is 1,000.
+    the auto-method rule, tuned against this backend's measurements.  The
+    seed inherited ``_IPM_THRESHOLD = 20_000``; measured on the
+    ring-of-MAP(2) family, interior point already beats dual simplex at
+    ~850 variables (0.16s vs 0.20s per pair) and wins by 4-6x from ~4,000
+    variables up (M = 10, N = 10: 38-72s per simplex solve vs 3-4s IPM).
+    The corrected threshold is 1,000.
 
 ``LPLineageStore``
     a process-wide map ``topology_key -> per-(metric, sense) basis
@@ -48,16 +49,14 @@ threshold loses outright (an IPM-crossover-sourced basis warm-started
 ``_IPM_THRESHOLD`` every solve runs cold interior point and the lineage
 store is not consulted.
 
-Backend discovery prefers a real ``highspy`` installation (the optional
-``repro[highs]`` extra), falls back to the copy scipy >= 1.15 vendors for
-its own ``linprog``, and finally to the stateless scipy path — so the
-persistent backend is available wherever scipy's HiGHS is, and
-``REPRO_LP_BACKEND=scipy`` forces the zero-dependency fallback.
+Binding discovery prefers a real ``highspy`` installation (the optional
+``repro[highs]`` extra) and otherwise uses the copy of HiGHS that
+scipy >= 1.15 vendors, so the required scipy alone is enough.
+:func:`resolve_backend` is the one check that a binding imported.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -74,14 +73,13 @@ __all__ = [
     "LPLineageStore",
     "choose_lp_method",
     "get_lp_lineage_store",
-    "highs_available",
     "highs_impl",
     "resolve_backend",
 ]
 
 
 # ---------------------------------------------------------------------- #
-# method selection (shared by both backends)
+# method selection
 # ---------------------------------------------------------------------- #
 #: Above this variable count, interior point beats HiGHS's dual simplex on
 #: these highly degenerate balance polytopes.  Re-measured for the
@@ -113,8 +111,8 @@ def _load_highs():
     except ImportError:
         pass
     try:
-        # scipy >= 1.15 vendors highspy for its own linprog; same pybind11
-        # API surface, private location — hence the gated fallback.
+        # scipy >= 1.15 vendors highspy for its own HiGHS solves; same
+        # pybind11 API surface, private location — hence the gated fallback.
         from scipy.optimize._highspy import _core
 
         cls = getattr(_core, "Highs", None) or _core._Highs
@@ -126,45 +124,34 @@ def _load_highs():
 _HIGHS_MOD, _HIGHS_CLS, _HIGHS_IMPL = _load_highs()
 
 
-def highs_available() -> bool:
-    """Whether the persistent HiGHS backend can run in this process."""
-    return _HIGHS_MOD is not None
-
-
 def highs_impl() -> "str | None":
     """``"highspy"`` | ``"scipy-vendored"`` | ``None`` (which binding)."""
     return _HIGHS_IMPL
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to ``"highs"`` or ``"scipy"``.
+    """The one binding check: ``"highs"`` whenever a HiGHS binding imports.
 
-    ``"auto"`` (the default everywhere) prefers the persistent HiGHS
-    backend when a binding is importable and falls back to the stateless
-    scipy path otherwise, so the optional dependency never becomes a
-    requirement.  The ``REPRO_LP_BACKEND`` environment variable overrides
-    ``"auto"`` (used by CI to pin the scipy leg); explicit arguments beat
-    the environment.
+    ``"auto"`` and ``"highs"`` name the same engine — there is no other.
+
+    Raises
+    ------
+    ValueError
+        For any other request, ``"scipy"`` included.
+    SolverError
+        When neither ``highspy`` nor the HiGHS copy vendored by
+        ``scipy>=1.15`` is importable.
     """
-    if backend == "auto":
-        env = os.environ.get("REPRO_LP_BACKEND", "").strip().lower()
-        if env:
-            backend = env
-    if backend == "auto":
-        return "highs" if highs_available() else "scipy"
-    if backend == "highs":
-        if not highs_available():
-            raise SolverError(
-                "LP backend 'highs' requested but no HiGHS binding is "
-                "importable (pip install 'repro[highs]', or use "
-                "backend='scipy')"
-            )
-        return "highs"
-    if backend == "scipy":
-        return "scipy"
-    raise ValueError(
-        f"unknown LP backend {backend!r}; expected 'auto', 'highs' or 'scipy'"
-    )
+    if backend not in ("auto", "highs"):
+        raise ValueError(
+            f"unknown LP backend {backend!r}; expected 'auto' or 'highs'"
+        )
+    if _HIGHS_MOD is None:
+        raise SolverError(
+            "no HiGHS binding is importable: the LP solver needs scipy>=1.15 "
+            "(which vendors HiGHS) or highspy (pip install 'repro[highs]')"
+        )
+    return "highs"
 
 
 # ---------------------------------------------------------------------- #
@@ -197,8 +184,7 @@ class PersistentLP:
     """
 
     def __init__(self, system, method: str = "auto") -> None:
-        if not highs_available():  # pragma: no cover - guarded by callers
-            raise SolverError("PersistentLP requires a HiGHS binding")
+        resolve_backend()
         if method not in ("auto", "highs", "highs-ipm"):
             raise ValueError(
                 f"unknown LP method {method!r}; expected 'auto', 'highs' "
@@ -283,7 +269,13 @@ class PersistentLP:
         when the resolved method is simplex; interior point always runs
         cold.
 
-        Raises :class:`SolverError` after the full retry ladder fails.
+        HiGHS occasionally reports spurious infeasibility on the
+        ill-conditioned instances this polytope produces (high-SCV MAP(2)
+        moments put 4+ orders of magnitude between coefficients).  The
+        exact constraints are feasible by construction, so a failed solve
+        walks the retry ladder — the alternate HiGHS algorithm, then
+        simplex with presolve disabled — and raises :class:`SolverError`
+        only after the full ladder fails.
         """
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -323,9 +315,9 @@ class PersistentLP:
         method_used = method
         n_fallbacks = 0
         if not ok:
-            # Same ladder as the stateless path: the alternate HiGHS
-            # algorithm, then simplex with presolve disabled.  Each retry
-            # starts cold — a basis that just failed must not leak in.
+            # The retry ladder: the alternate HiGHS algorithm, then simplex
+            # with presolve disabled.  Each retry starts cold — a basis
+            # that just failed must not leak in.
             tele = obs.get_telemetry()
             alternate = "highs" if method == "highs-ipm" else "highs-ipm"
             for meth, presolve in ((alternate, True), ("highs", False)):

@@ -37,7 +37,7 @@ class LinearMetric:
     constant: float = 0.0
 
     def dense(self, n_vars: int) -> np.ndarray:
-        """Dense coefficient vector (for ``scipy.optimize.linprog``)."""
+        """Dense coefficient vector (the LP cost vector)."""
         c = np.zeros(n_vars)
         np.add.at(c, self.cols, self.vals)
         return c

@@ -81,7 +81,7 @@ class Span:
 
         with tele.span("lp.solve", metric="throughput[0]") as sp:
             ...
-            sp.count("lp.iterations", res.nit)
+            sp.count("lp.iterations", info.n_iterations)
 
     Attributes are free-form key/value pairs (JSON-scalar values keep the
     trace exportable); counters are additive and also bubble into the

@@ -1,15 +1,15 @@
 """Batched LP bound solving: assemble the constraint system once, reuse it.
 
 :func:`repro.core.lp.optimize_metric` is a one-shot API — every call pays
-for the dense objective vector, the stacked variable-bound array, and method
-selection.  :class:`BatchLPSolver` amortizes everything that does not depend
-on the objective across all min/max pairs of a model: the variable index,
-the assembled sparse constraint matrices, the ``(n, 2)`` bound array, and
-the HiGHS method choice.  Dense metric coefficient vectors are built once
-per canonical metric spec and reused across min/max senses (and across
-repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
-standard-metric sweep performs exactly one constraint assembly and
-``2 * n_metrics`` solver calls with no redundant re-densification.
+for the dense objective vector, a fresh HiGHS model, and method selection.
+:class:`BatchLPSolver` amortizes everything that does not depend on the
+objective across all min/max pairs of a model: the variable index, the
+assembled sparse constraint matrices, the HiGHS model, and the method
+choice.  Dense metric coefficient vectors are built once per canonical
+metric spec and reused across min/max senses (and across repeated
+:meth:`BatchLPSolver.bound_specs` calls), so a full standard-metric sweep
+performs exactly one constraint assembly and ``2 * n_metrics`` solver
+calls with no redundant re-densification.
 
 Constraint assembly routes through the vectorized block kernel and its
 per-topology :class:`~repro.core.assembly.AssemblyCache` (the process-wide
@@ -17,14 +17,13 @@ default unless one is injected), so a population sweep over a fixed
 topology computes the phase/routing block patterns exactly once and only
 re-materializes the N-dependent slices at each point.
 
-Solves route through the persistent HiGHS backend
-(:mod:`repro.core.lpbackend`) whenever a binding is importable
-(``backend="auto"``; ``"scipy"`` forces the stateless fallback): the model
-is passed to the solver once, objectives swap only the cost vector, the
-max of each min/max pair restarts primal simplex from the min's optimal
-basis, and — in the simplex regime — solves warm-start from the mapped
-basis of the same metric at the previous sweep population via the
-process-wide lineage store.  Telemetry counters ``lp.model_rebuild``,
+Every solve runs on one persistent HiGHS model
+(:mod:`repro.core.lpbackend`) through :func:`repro.core.lp.solve_lp_core`:
+the model is passed to the solver once, objectives swap only the cost
+vector, the max of each min/max pair restarts primal simplex from the
+min's optimal basis, and — in the simplex regime — solves warm-start from
+the mapped basis of the same metric at the previous sweep population via
+the process-wide lineage store.  Telemetry counters ``lp.model_rebuild``,
 ``lp.basis_reuse`` and ``lp.warm_start`` make each reuse visible.
 
 Metric requests use compact string specs::
@@ -51,7 +50,6 @@ from repro.core.lpbackend import (
     get_lp_lineage_store,
     map_basis_snapshot,
     model_shape,
-    resolve_backend,
 )
 from repro.core.objectives import (
     LinearMetric,
@@ -62,7 +60,6 @@ from repro.core.objectives import (
 )
 from repro.core.variables import VariableIndex
 from repro.network.model import Network, require_closed
-from repro.utils.errors import SolverError
 
 __all__ = ["BatchLPSolver", "expand_metric_specs"]
 
@@ -122,7 +119,6 @@ class BatchLPSolver:
         triples: bool | None = None,
         include_redundant: bool = False,
         method: str = "auto",
-        backend: str = "auto",
         warm_start: bool = True,
         assembly_cache: AssemblyCache | None = None,
     ) -> None:
@@ -138,32 +134,22 @@ class BatchLPSolver:
             self.plan_from_cache = cache.misses == plan_misses
             self.vi = VariableIndex(network, triples=plan.triples)
             self.system = plan.assemble(network, vi=self.vi)
-            self._bounds_array = np.column_stack([self.system.lb, self.system.ub])
             self.build_time_s = obs.clock() - t0
             span.set("plan_from_cache", self.plan_from_cache)
             span.set("n_variables", int(self.system.n_variables))
-        #: "highs" (persistent warm-started model) or "scipy" (stateless).
-        self.backend = resolve_backend(backend)
-        self._method_requested = method
         #: resolved *cold* method (reporting; warm solves may use simplex)
         self.method = (
             choose_lp_method(self.system.n_variables)
             if method == "auto"
             else method
         )
-        self._plp: PersistentLP | None = None
-        if self.backend == "highs":
-            self._plp = PersistentLP(self.system, method=method)
+        self._plp = PersistentLP(self.system, method=method)
         # Population-lineage warm starts only pay (and only fire) in the
         # simplex regime; the shape snapshot materializes row labels, so
         # skip it entirely for the big interior-point instances.
         self._lineage = (
             get_lp_lineage_store()
-            if (
-                warm_start
-                and self._plp is not None
-                and self.method == "highs"
-            )
+            if warm_start and self.method == "highs"
             else None
         )
         self._topology_key = plan.key
@@ -187,82 +173,43 @@ class BatchLPSolver:
         return self._optimize_dense(c, sense, metric.name) + metric.constant
 
     def _optimize_dense(self, c: np.ndarray, sense: str, name: str) -> float:
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        if self._plp is not None:
-            return self._optimize_persistent(c, sense, name)
-        sign = 1.0 if sense == "min" else -1.0
-        with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
-            t0 = obs.clock()
-            # min uses the caller's vector as-is; max negates into a scratch
-            # copy so cached coefficient vectors are never mutated.
-            res, method_used = solve_lp_core(
-                c if sense == "min" else np.negative(c),
-                self.system,
-                self.method,
-                self._bounds_array,
-            )
-            self.solve_time_s += obs.clock() - t0
-            self.n_solves += 1
-            self.n_iterations += int(getattr(res, "nit", 0) or 0)
-            span.count("lp.solves")
-            span.count("lp.iterations", int(getattr(res, "nit", 0) or 0))
-            if method_used != self.method:
-                self.n_fallbacks += 1
-                span.count("lp.fallbacks")
-                span.set("method_used", method_used)
-        if not res.success:
-            raise SolverError(
-                f"LP {sense} of {name} failed: {res.message} (status {res.status})"
-            )
-        return float(sign * res.fun)
-
-    def _optimize_persistent(self, c: np.ndarray, sense: str, name: str) -> float:
         """One solve on the persistent model: swap the cost vector, pick
         the cheapest valid start (pair basis > mapped lineage basis > cold),
         record the basis for the next population of this lineage."""
-        with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
-            t0 = obs.clock()
-            # The kept basis is only primal-feasible for the *same* metric
-            # (the min/max pair); across metrics it misleads the solver.
-            reuse = self._last_metric == name
-            warm_basis = None
-            if not reuse and self._lineage is not None:
-                hit = self._lineage.lookup(self._topology_key, name, sense)
-                if hit is not None:
-                    # Adjacent population: the mapping reshapes the blocks.
-                    # Same population (a fresh solver re-running a lineage):
-                    # the mapping is the identity and the warm solve is a
-                    # near-free replay of the stored optimal basis.
-                    col, row = map_basis_snapshot(
-                        hit[0], hit[1], hit[2], self._shape
-                    )
-                    warm_basis = self._plp.make_basis(col, row)
-            info = self._plp.solve(c, sense, warm_basis=warm_basis,
-                                   reuse_basis=reuse)
-            self._last_metric = name
-            if self._lineage is not None:
-                snap = self._plp.basis_snapshot()
-                if snap is not None:
-                    self._lineage.store(
-                        self._topology_key, name, sense, self._shape, *snap
-                    )
-            self.solve_time_s += obs.clock() - t0
-            self.n_solves += 1
-            self.n_iterations += info.n_iterations
-            span.count("lp.solves")
-            span.count("lp.iterations", info.n_iterations)
-            if info.warm_started:
-                if warm_basis is not None:
-                    self.n_warm_starts += 1
-                    span.count("lp.warm_start")
-                else:
-                    self.n_basis_reuse += 1
-                    span.count("lp.basis_reuse")
-            if info.n_fallbacks:
-                self.n_fallbacks += 1
-                span.count("lp.fallbacks")
-                span.set("method_used", info.method_used)
+        t0 = obs.clock()
+        # The kept basis is only primal-feasible for the *same* metric
+        # (the min/max pair); across metrics it misleads the solver.
+        reuse = self._last_metric == name
+        warm_basis = None
+        if not reuse and self._lineage is not None:
+            hit = self._lineage.lookup(self._topology_key, name, sense)
+            if hit is not None:
+                # Adjacent population: the mapping reshapes the blocks.
+                # Same population (a fresh solver re-running a lineage):
+                # the mapping is the identity and the warm solve is a
+                # near-free replay of the stored optimal basis.
+                col, row = map_basis_snapshot(hit[0], hit[1], hit[2], self._shape)
+                warm_basis = self._plp.make_basis(col, row)
+        info = solve_lp_core(
+            self._plp, c, sense, name, warm_basis=warm_basis, reuse_basis=reuse
+        )
+        self._last_metric = name
+        if self._lineage is not None:
+            snap = self._plp.basis_snapshot()
+            if snap is not None:
+                self._lineage.store(
+                    self._topology_key, name, sense, self._shape, *snap
+                )
+        self.solve_time_s += obs.clock() - t0
+        self.n_solves += 1
+        self.n_iterations += info.n_iterations
+        if info.warm_started:
+            if warm_basis is not None:
+                self.n_warm_starts += 1
+            else:
+                self.n_basis_reuse += 1
+        if info.n_fallbacks:
+            self.n_fallbacks += 1
         return float(info.value)
 
     def bound(self, metric: LinearMetric) -> Interval:

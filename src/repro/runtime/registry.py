@@ -54,8 +54,8 @@ __all__ = ["SolveResult", "SolverRegistry"]
 #: computed result; stripped from cached payloads so a replay is
 #: bit-identical to the original solve.  ``cache_hit``/``cache_tier`` are
 #: re-stamped on every registry solve; ``backend`` records which engine
-#: (dense matrix vs matrix-free operator for the CTMC methods; persistent
-#: HiGHS vs stateless scipy for the LP method) computed a result whose
+#: (dense matrix vs matrix-free operator for the CTMC methods; always the
+#: persistent ``"highs"`` model for the LP method) computed a result whose
 #: *values* are backend-invariant, so the cache must not fork on it.
 _PROVENANCE_KEYS = ("cache_hit", "cache_tier", "backend")
 
@@ -221,15 +221,13 @@ def _solve_lp(
     triples: bool | None = None,
     include_redundant: bool = False,
     lp_method: str = "auto",
-    backend: str = "auto",
 ) -> SolveResult:
-    """``backend="auto"`` solves on the persistent warm-started HiGHS
-    model when a binding is importable, else stateless scipy ``linprog``.
+    """LP bounds on the persistent warm-started HiGHS model.
 
-    Both backends answer with the same optima to LP tolerance, so
-    ``backend`` is provenance (excluded from the cache fingerprint,
-    recorded in ``extra``) exactly like the exact/transient generator
-    backend.
+    ``lp_method`` picks the HiGHS algorithm (see
+    :func:`~repro.core.lpbackend.choose_lp_method`).  ``extra["backend"]``
+    is always ``"highs"``: the one LP engine, recorded as provenance
+    like the exact/transient generator backend.
     """
     # kind guard lives in BatchLPSolver.__init__ (the only LP entry point)
     solver = BatchLPSolver(
@@ -237,7 +235,6 @@ def _solve_lp(
         triples=triples,
         include_redundant=include_redundant,
         method=lp_method,
-        backend=backend,
     )
     bounds = solver.bound_specs(metrics, reference=reference)
     M = network.n_stations
@@ -263,7 +260,7 @@ def _solve_lp(
             # population sweeps reuse one cached assembly plan per topology
             "assembly_plan_cached": solver.plan_from_cache,
             "certified": True,
-            "backend": solver.backend,
+            "backend": "highs",
         },
     )
 
@@ -652,10 +649,9 @@ class SolverRegistry:
                 # replay could not re-record them, so such calls always run
                 uncacheable_opts=("taps",) if name == "sim" else (),
                 # backend changes how, never what: dense and operator
-                # generator solves — and persistent-HiGHS vs stateless
-                # scipy LP solves — must share one cache entry
+                # generator solves must share one cache entry
                 fingerprint_invariant_opts=(
-                    ("backend",) if name in ("exact", "lp") else ()
+                    ("backend",) if name == "exact" else ()
                 ),
             )
         # Imported here, not at module top: TransientResult subclasses

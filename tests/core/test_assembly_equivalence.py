@@ -2,7 +2,8 @@
 
 The contract of the PR-3 kernel rewrite: the block assembler in
 ``repro.core.assembly`` must produce the *identical polytope* as the seed
-per-row emitter (kept as ``build_constraints_reference``) — same rows up to
+per-row emitter (kept as the test oracle
+``oracles.assembly_reference.build_constraints_reference``) — same rows up to
 row order, same labels, same right-hand sides, same variable bounds.  The
 comparison is exact (no tolerance): rows are permuted into sorted-label
 order via ``canonical_form`` and the CSR pieces are compared bit-equal.
@@ -16,12 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    AssemblyCache,
-    canonical_form,
-    build_constraints,
-    build_constraints_reference,
-)
+from oracles.assembly_reference import build_constraints_reference
+from oracles.lp import linprog_bounds
+from repro.core import AssemblyCache, canonical_form, build_constraints
 from repro.core.assembly import AssemblyPlan, topology_key
 from repro.maps import exponential, fit_map2, random_map2
 from repro.network import ClosedNetwork, delay, queue
@@ -147,36 +145,20 @@ def test_standard_bounds_match_reference_within_1e_9(name):
     solver = BatchLPSolver(net, assembly_cache=AssemblyCache())
     got = solver.standard_bounds()
     ref_system = build_constraints_reference(net)
-    ref_solver = BatchLPSolver.__new__(BatchLPSolver)  # reuse solve machinery
-    ref_solver.network = net
-    ref_solver.vi = ref_system.vi
-    ref_solver.system = ref_system
-    ref_solver._bounds_array = np.column_stack([ref_system.lb, ref_system.ub])
-    ref_solver.method = solver.method
-    # Stateless solve path (no persistent model, no lineage): the main
-    # solver may run the persistent backend, so this comparison doubles
-    # as a cross-backend 1e-9 agreement check at a matched method.
-    ref_solver.backend = "scipy"
-    ref_solver._plp = None
-    ref_solver._lineage = None
-    ref_solver._shape = None
-    ref_solver._last_metric = None
-    ref_solver.n_solves = ref_solver.n_fallbacks = 0
-    ref_solver.n_warm_starts = ref_solver.n_basis_reuse = 0
-    ref_solver.n_iterations = 0
-    ref_solver.solve_time_s = 0.0
-    ref_solver._dense_cache = {}
-    want = ref_solver.standard_bounds()
+    # Stateless linprog over the reference polytope (no persistent model,
+    # no lineage): doubles as a persistent-vs-oracle 1e-9 agreement check
+    # at a matched method.
+    want = linprog_bounds(net, "standard", system=ref_system)
     for k in range(net.n_stations):
         for attr in ("utilization", "throughput", "queue_length"):
-            g, w = getattr(got, attr)[k], getattr(want, attr)[k]
+            g, w = getattr(got, attr)[k], want[f"{attr}[{k}]"]
             assert g.lower == pytest.approx(w.lower, abs=1e-9)
             assert g.upper == pytest.approx(w.upper, abs=1e-9)
     assert got.system_throughput.lower == pytest.approx(
-        want.system_throughput.lower, abs=1e-9
+        want["system_throughput"].lower, abs=1e-9
     )
     assert got.system_throughput.upper == pytest.approx(
-        want.system_throughput.upper, abs=1e-9
+        want["system_throughput"].upper, abs=1e-9
     )
 
 

@@ -1,10 +1,12 @@
-"""Tests for the LP backend: method selection, fallbacks, metric algebra."""
+"""Tests for the LP front end: method selection, fallbacks, metric algebra."""
 
 import numpy as np
 import pytest
 
+from oracles.lp import linprog_optimum
 from repro.core import build_constraints, throughput_metric, utilization_metric
-from repro.core.lp import _IPM_THRESHOLD, optimize_metric
+from repro.core.lp import optimize_metric
+from repro.core.lpbackend import _IPM_THRESHOLD
 from repro.core.objectives import LinearMetric
 from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
@@ -67,23 +69,29 @@ class TestOptimizeMetric:
         assert sol.status == 0
         assert sol.method_used == "highs"
 
-    def test_method_used_surfaced_on_both_backends(self, system):
+    def test_method_used_surfaced(self, system):
         net, vi, sys_c = system
         m = throughput_metric(net, vi, 0)
-        for backend in ("auto", "scipy"):
-            sol = optimize_metric(
-                sys_c, m, "min", method="highs-ipm", backend=backend
-            )
-            assert sol.method_used == "highs-ipm"
-            assert sol.n_iterations >= 0
+        for method in ("highs", "highs-ipm"):
+            sol = optimize_metric(sys_c, m, "min", method=method)
+            assert sol.method_used == method
+            assert sol.n_iterations > 0
 
     def test_backends_agree(self, system):
+        """The persistent solve agrees with the stateless linprog oracle."""
         net, vi, sys_c = system
         m = throughput_metric(net, vi, 0)
         for sense in ("min", "max"):
-            a = optimize_metric(sys_c, m, sense, backend="auto")
-            b = optimize_metric(sys_c, m, sense, backend="scipy")
+            a = optimize_metric(sys_c, m, sense)
+            b = linprog_optimum(sys_c, m, sense)
             assert a.value == pytest.approx(b.value, abs=1e-9)
+
+    def test_unknown_method_rejected(self, system):
+        net, vi, sys_c = system
+        with pytest.raises(ValueError, match="unknown LP method"):
+            optimize_metric(
+                sys_c, throughput_metric(net, vi, 0), "min", method="interior-point"
+            )
 
     def test_rejects_bad_sense(self, system):
         net, vi, sys_c = system

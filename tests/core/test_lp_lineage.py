@@ -3,13 +3,8 @@
 import threading
 
 import numpy as np
-import pytest
 
-from repro.core.lpbackend import (
-    LPLineageStore,
-    get_lp_lineage_store,
-    highs_available,
-)
+from repro.core.lpbackend import LPLineageStore, get_lp_lineage_store
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime import SolverRegistry
@@ -76,7 +71,6 @@ class TestLRUEviction:
         assert store.lookup("topo", "m", "min") is None
 
 
-@pytest.mark.skipif(not highs_available(), reason="no HiGHS binding")
 class TestDownwardPopulationMapping:
     """The block mapping truncates (not just extends) the population axis,
     so a sweep that *decreases* N must warm-start correctly too."""
@@ -93,21 +87,15 @@ class TestDownwardPopulationMapping:
         lineage.clear()
         try:
             registry = SolverRegistry(cache=None)
-            big = registry.solve(
-                self._net(20), "lp", metrics=METRICS, backend="highs"
-            )
+            big = registry.solve(self._net(20), "lp", metrics=METRICS)
             assert big.extra["lp_warm_starts"] == 0
-            warm = registry.solve(
-                self._net(10), "lp", metrics=METRICS, backend="highs"
-            )
+            warm = registry.solve(self._net(10), "lp", metrics=METRICS)
             # The N = 10 solve started from the truncated N = 20 basis...
             assert warm.extra["lp_warm_starts"] >= 1
         finally:
             lineage.clear()
         # ...and still lands on the cold optimum to LP tolerance.
-        cold = SolverRegistry(cache=None).solve(
-            self._net(10), "lp", metrics=METRICS, backend="highs"
-        )
+        cold = SolverRegistry(cache=None).solve(self._net(10), "lp", metrics=METRICS)
         for w, c in (
             (warm.throughput_interval(0), cold.throughput_interval(0)),
             (warm.queue_length_interval(1), cold.queue_length_interval(1)),

@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles.lp import linprog_optimum
 from repro.core import build_constraints, queue_length_metric, throughput_metric
-from repro.core.lp import optimize_metric
 from repro.core.lpbackend import (
     _IPM_THRESHOLD,
     LPLineageStore,
     PersistentLP,
     choose_lp_method,
     get_lp_lineage_store,
-    highs_available,
     highs_impl,
     map_basis_snapshot,
     model_shape,
@@ -21,10 +20,6 @@ from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.utils.errors import SolverError
-
-pytestmark = pytest.mark.skipif(
-    not highs_available(), reason="no HiGHS binding importable"
-)
 
 
 def two_station(N: int = 5):
@@ -46,15 +41,15 @@ class TestDiscovery:
     def test_impl_is_named_when_available(self):
         assert highs_impl() in ("highspy", "scipy-vendored")
 
-    def test_auto_prefers_highs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
+    def test_auto_prefers_highs(self):
         assert resolve_backend("auto") == "highs"
-
-    def test_env_overrides_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-        assert resolve_backend("auto") == "scipy"
-        # explicit argument beats the environment
         assert resolve_backend("highs") == "highs"
+        assert resolve_backend() == "highs"
+
+    def test_scipy_request_rejected(self):
+        # the stateless backend is gone; asking for it is an error
+        with pytest.raises(ValueError, match="'auto' or 'highs'"):
+            resolve_backend("scipy")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -64,11 +59,17 @@ class TestDiscovery:
         import repro.core.lpbackend as mod
 
         monkeypatch.setattr(mod, "_HIGHS_MOD", None)
-        with pytest.raises(SolverError, match="highs"):
-            mod.resolve_backend("highs")
-        # auto degrades silently instead
-        monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
-        assert mod.resolve_backend("auto") == "scipy"
+        for request in ("highs", "auto"):
+            with pytest.raises(SolverError, match=r"scipy>=1\.15.*highspy"):
+                mod.resolve_backend(request)
+
+    def test_model_construction_checks_the_binding(self, system, monkeypatch):
+        import repro.core.lpbackend as mod
+
+        _, _, sys_c = system
+        monkeypatch.setattr(mod, "_HIGHS_MOD", None)
+        with pytest.raises(SolverError, match="no HiGHS binding"):
+            PersistentLP(sys_c)
 
 
 class TestChooseMethod:
@@ -86,7 +87,7 @@ class TestPersistentSolves:
             c = metric.dense(sys_c.n_variables)
             for sense in ("min", "max"):
                 info = plp.solve(c.copy(), sense)
-                ref = optimize_metric(sys_c, metric, sense, backend="scipy")
+                ref = linprog_optimum(sys_c, metric, sense)
                 assert info.value + metric.constant == pytest.approx(
                     ref.value, abs=1e-9
                 )
@@ -146,9 +147,7 @@ class TestPersistentSolves:
         info = plp.solve(c, "min")
         assert info.n_fallbacks == 1
         assert info.method_used == "highs-ipm"  # the alternate algorithm
-        ref = optimize_metric(
-            sys_c, throughput_metric(net, vi, 0), "min", backend="scipy"
-        )
+        ref = linprog_optimum(sys_c, throughput_metric(net, vi, 0), "min")
         assert info.value == pytest.approx(ref.value, abs=1e-9)
 
     def test_exhausted_ladder_raises(self, system, monkeypatch):

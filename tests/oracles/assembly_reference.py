@@ -4,7 +4,9 @@ This is the original per-row emitter kept verbatim as the correctness
 oracle for the vectorized block assembler in :mod:`repro.core.assembly`:
 ``tests/core/test_assembly_equivalence.py`` asserts that both paths produce
 the identical polytope (canonicalized CSR matrices bit-equal, identical
-labels/rhs/bounds) on every catalog scenario.  It is quadruple-nested
+labels/rhs/bounds) on every catalog scenario, and
+``benchmarks/test_bench_lp_scaling.py`` times the vectorized path against
+it.  It ships with the tests, not the package.  It is quadruple-nested
 Python loops calling :meth:`_RowBuilder.add_row` once per row — clear,
 slow, and deliberately untouched.
 

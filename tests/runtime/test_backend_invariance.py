@@ -11,11 +11,13 @@ the entry.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.runtime import ResultCache, SolverRegistry
+from repro.runtime import ResultCache, SolveResult, SolverRegistry
 from repro.workloads.ring import ring_model
 from repro.workloads.tandem import tandem_model
 
@@ -115,52 +117,52 @@ class TestProvenance:
         assert "cache_hit" not in payload.get("extra", {})
 
 
-class TestLPBackendInvariance:
-    """The LP ``backend`` option (persistent HiGHS vs stateless scipy)
-    follows the same contract as the exact/transient one."""
+class TestLPProvenance:
+    """The LP method has one engine, the persistent HiGHS model: it is
+    stamped as ``extra["backend"] == "highs"`` and, like the CTMC backend,
+    kept out of cached payloads, so LP cache entries written before the
+    stateless backend was retired still replay."""
 
     METRICS = ("throughput[0]", "system_throughput")
-
-    def test_same_fingerprint_across_backends(self, tmp_path, tandem):
-        fps = {}
-        for backend in ("scipy", "auto"):
-            reg = SolverRegistry(
-                cache=ResultCache(directory=tmp_path / backend)
-            )
-            res = reg.solve(
-                tandem, "lp", metrics=self.METRICS, backend=backend
-            )
-            assert res.extra["cache_hit"] is False
-            fps[backend] = res.fingerprint
-        assert fps["scipy"] == fps["auto"]
-
-    def test_scipy_replays_persistent_entry(self, registry, tandem):
-        first = registry.solve(tandem, "lp", metrics=self.METRICS)
-        assert first.extra["cache_hit"] is False
-        replay = registry.solve(
-            tandem, "lp", metrics=self.METRICS, backend="scipy"
-        )
-        assert replay.extra["cache_hit"] is True
-        assert payload_bytes(replay) == payload_bytes(first)
+    #: A ``tandem_model(4)`` LP entry exactly as the two-backend registry
+    #: wrote it (``backend`` excluded from the key and the payload).
+    PARENT_ENTRY = (
+        Path(__file__).parent
+        / "data"
+        / "lp_cache"
+        / "8c1b3608be95fc9a9c6443d0868cbb264ea6f97b003297c777b70c9055613c07.json"
+    )
 
     def test_backend_stamped_and_stripped(self, registry, tandem):
-        res = registry.solve(tandem, "lp", metrics=self.METRICS, backend="scipy")
-        assert res.extra["backend"] == "scipy"
+        res = registry.solve(tandem, "lp", metrics=self.METRICS)
+        assert res.extra["backend"] == "highs"
         assert "backend" not in res.to_dict().get("extra", {})
 
-    def test_fresh_lp_answers_agree(self, tmp_path, tandem):
-        results = {}
-        for backend in ("scipy", "auto"):
-            reg = SolverRegistry(
-                cache=ResultCache(directory=tmp_path / backend)
-            )
-            results[backend] = reg.solve(
-                tandem, "lp", metrics=self.METRICS, backend=backend
-            )
-        a = results["scipy"].throughput_interval(0)
-        b = results["auto"].throughput_interval(0)
-        assert abs(a.lower - b.lower) <= 1e-9
-        assert abs(a.upper - b.upper) <= 1e-9
+    def test_backend_option_rejected(self, registry, tandem):
+        with pytest.raises(TypeError, match="backend"):
+            registry.solve(tandem, "lp", metrics=self.METRICS, backend="scipy")
+
+    def test_earlier_entry_replays_byte_identically(self, tmp_path, tandem):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        shutil.copy(self.PARENT_ENTRY, cache_dir)
+        reg = SolverRegistry(cache=ResultCache(directory=cache_dir))
+        replay = reg.solve(tandem, "lp", metrics=self.METRICS)
+        assert replay.extra["cache_tier"] == "disk"
+        assert replay.fingerprint == self.PARENT_ENTRY.stem
+        assert json.dumps(replay.to_dict()) == self.PARENT_ENTRY.read_text()
+
+    def test_fresh_answer_matches_earlier_entry(self, tandem):
+        stored = SolveResult.from_dict(json.loads(self.PARENT_ENTRY.read_text()))
+        fresh = SolverRegistry(cache=None).solve(
+            tandem, "lp", metrics=self.METRICS
+        )
+        for a, b in (
+            (fresh.throughput_interval(0), stored.throughput_interval(0)),
+            (fresh.system_throughput, stored.system_throughput),
+        ):
+            assert abs(a.lower - b.lower) <= 1e-9
+            assert abs(a.upper - b.upper) <= 1e-9
 
 
 class TestNumericInvariance:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles.lp import linprog_bounds
 from repro.core import solve_bounds
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from repro.core.lpbackend import get_lp_lineage_store
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime.batch import BatchLPSolver, expand_metric_specs
@@ -85,7 +86,6 @@ class TestBatchBounds:
         assert wide["system_throughput"].lower <= tight["system_throughput"].lower + 1e-9
 
 
-@pytest.mark.skipif(not highs_available(), reason="no HiGHS binding")
 class TestPersistentBackend:
     @pytest.fixture(autouse=True)
     def _clean_lineage(self):
@@ -93,19 +93,16 @@ class TestPersistentBackend:
         yield
         get_lp_lineage_store().clear()
 
-    def test_backends_agree_on_standard_bounds(self, net):
-        highs = BatchLPSolver(net, backend="highs")
-        scipy_ = BatchLPSolver(net, backend="scipy")
-        assert highs.backend == "highs" and scipy_.backend == "scipy"
-        a, b = highs.standard_bounds(), scipy_.standard_bounds()
-        for k in range(net.n_stations):
-            for field in ("utilization", "throughput", "queue_length"):
-                ha, hb = getattr(a, field)[k], getattr(b, field)[k]
-                assert ha.lower == pytest.approx(hb.lower, abs=1e-9)
-                assert ha.upper == pytest.approx(hb.upper, abs=1e-9)
+    def test_standard_bounds_match_linprog_oracle(self, net):
+        got = BatchLPSolver(net).bound_specs("standard")
+        want = linprog_bounds(net, "standard")
+        assert got.keys() == want.keys()
+        for spec, iv in want.items():
+            assert got[spec].lower == pytest.approx(iv.lower, abs=1e-9), spec
+            assert got[spec].upper == pytest.approx(iv.upper, abs=1e-9), spec
 
     def test_pair_reuse_counted(self, net):
-        solver = BatchLPSolver(net, backend="highs")
+        solver = BatchLPSolver(net)
         solver.bound_specs(("system_throughput", "utilization[0]"))
         assert solver.n_solves == 4
         # each metric's max solve rides the basis its min solve left
@@ -114,16 +111,14 @@ class TestPersistentBackend:
         assert solver.n_iterations > 0
 
     def test_lineage_warm_starts_next_population(self, net):
-        first = BatchLPSolver(net, backend="highs")
+        first = BatchLPSolver(net)
         first.bound_specs(("system_throughput",))
         assert len(get_lp_lineage_store()) == 1
 
-        second = BatchLPSolver(net.with_population(5), backend="highs")
+        second = BatchLPSolver(net.with_population(5))
         out = second.bound_specs(("system_throughput",))
         assert second.n_warm_starts >= 1
-        cold = BatchLPSolver(
-            net.with_population(5), backend="scipy"
-        ).bound_specs(("system_throughput",))
+        cold = linprog_bounds(net.with_population(5), ("system_throughput",))
         assert out["system_throughput"].lower == pytest.approx(
             cold["system_throughput"].lower, abs=1e-9
         )
@@ -132,15 +127,15 @@ class TestPersistentBackend:
         )
 
     def test_warm_start_opt_out(self, net):
-        BatchLPSolver(net, backend="highs").bound_specs(("system_throughput",))
+        BatchLPSolver(net).bound_specs(("system_throughput",))
         opted_out = BatchLPSolver(
-            net.with_population(5), backend="highs", warm_start=False
+            net.with_population(5), warm_start=False
         )
         opted_out.bound_specs(("system_throughput",))
         assert opted_out.n_warm_starts == 0
 
     def test_explicit_ipm_skips_lineage(self, net):
-        solver = BatchLPSolver(net, backend="highs", method="highs-ipm")
+        solver = BatchLPSolver(net, method="highs-ipm")
         solver.bound_specs(("system_throughput",))
         assert solver.method == "highs-ipm"
         # IPM ignores bases: no lineage entry may be written

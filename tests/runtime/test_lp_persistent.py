@@ -3,22 +3,20 @@
 The cross-N basis lineage (see :mod:`repro.core.lpbackend`) makes every
 sweep point after the first start from the previous point's mapped
 optimal basis.  Warm starts change iteration counts, never optima, so a
-warm sweep must agree with a cold (lineage-disabled) one to LP tolerance
-— serially and across worker processes.
+warm sweep must agree with a cold (lineage-disabled) one and with the
+stateless ``linprog`` oracle to LP tolerance — serially and across worker
+processes.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from oracles.lp import linprog_bounds
+from repro.core.lpbackend import get_lp_lineage_store
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime import SolverRegistry
 from repro.runtime.sweep import SweepRunner
-
-pytestmark = pytest.mark.skipif(
-    not highs_available(), reason="no HiGHS binding importable"
-)
 
 POPULATIONS = (3, 4, 5, 6)
 METRICS = ("throughput[0]", "queue_length[1]", "system_throughput")
@@ -35,12 +33,12 @@ def base_net():
     get_lp_lineage_store().clear()
 
 
-def _sweep(base_net, workers: int, **opts) -> list:
+def _sweep(base_net, workers: int) -> list:
     runner = SweepRunner(
         registry=SolverRegistry(cache=None), workers=workers, cache_dir=None
     )
     return runner.population_sweep(
-        base_net, POPULATIONS, "lp", metrics=METRICS, **opts
+        base_net, POPULATIONS, "lp", metrics=METRICS
     )
 
 
@@ -55,37 +53,40 @@ def _assert_close(warm_results, cold_results, tol=1e-9):
 
 
 def test_serial_sweep_warm_starts_and_agrees(base_net):
-    warm = _sweep(base_net, workers=1, backend="highs")
+    warm = _sweep(base_net, workers=1)
     # every point past the first warm-started from the lineage
     assert all(r.extra["lp_warm_starts"] >= 1 for r in warm[1:])
     assert all(r.extra["backend"] == "highs" for r in warm)
 
-    get_lp_lineage_store().clear()
-    cold = _sweep(base_net, workers=1, backend="scipy")
-    assert all(r.extra["lp_warm_starts"] == 0 for r in cold)
-    _assert_close(warm, cold)
+    for N, result in zip(POPULATIONS, warm):
+        oracle = linprog_bounds(base_net.with_population(N), METRICS)
+        for got, want in (
+            (result.throughput_interval(0), oracle["throughput[0]"]),
+            (result.queue_length_interval(1), oracle["queue_length[1]"]),
+            (result.system_throughput, oracle["system_throughput"]),
+        ):
+            assert abs(got.lower - want.lower) <= 1e-9, (N, got, want)
+            assert abs(got.upper - want.upper) <= 1e-9, (N, got, want)
 
 
 def test_parallel_sweep_agrees_with_serial(base_net):
-    serial = _sweep(base_net, workers=1, backend="highs")
+    serial = _sweep(base_net, workers=1)
     get_lp_lineage_store().clear()
-    parallel = _sweep(base_net, workers=2, backend="highs")
+    parallel = _sweep(base_net, workers=2)
     _assert_close(parallel, serial)
 
 
 def test_lineage_shared_across_registry_solves(base_net):
     """Registry solves (not just one BatchLPSolver) chain the lineage."""
     registry = SolverRegistry(cache=None)
-    first = registry.solve(base_net, "lp", metrics=METRICS, backend="highs")
+    first = registry.solve(base_net, "lp", metrics=METRICS)
     assert first.extra["lp_warm_starts"] == 0
-    second = registry.solve(
-        base_net.with_population(4), "lp", metrics=METRICS, backend="highs"
-    )
+    second = registry.solve(base_net.with_population(4), "lp", metrics=METRICS)
     assert second.extra["lp_warm_starts"] >= 1
 
 
 # ---------------------------------------------------------------------- #
-# catalog-wide agreement: every closed scenario, both backends, 1e-9
+# catalog-wide agreement: every closed scenario vs the linprog oracle, 1e-9
 # ---------------------------------------------------------------------- #
 from repro.scenarios import get_scenario, get_scenario_registry  # noqa: E402
 
@@ -102,26 +103,21 @@ CATALOG_N = 4
 
 @pytest.mark.parametrize("name", CLOSED_SCENARIOS)
 def test_catalog_backends_agree(name):
-    """Persistent HiGHS and stateless scipy answer every catalog scenario
-    identically to 1e-9 — the acceptance bar of the backend swap."""
+    """The persistent HiGHS path and the stateless ``linprog`` oracle
+    answer every catalog scenario identically to 1e-9."""
     get_lp_lineage_store().clear()
     net = get_scenario(name).network(population=CATALOG_N)
     registry = SolverRegistry(cache=None)
     specs = ("throughput[0]", "queue_length[0]", "system_throughput")
     # Pair tier: the triple tier multiplies variables ~M-fold (minutes on
-    # the 6-station ring) without exercising any backend-specific code.
-    res_h = registry.solve(
-        net, "lp", metrics=specs, backend="highs", triples=False
-    )
-    res_s = registry.solve(
-        net, "lp", metrics=specs, backend="scipy", triples=False
-    )
+    # the 6-station ring) without exercising any solver-specific code.
+    res_h = registry.solve(net, "lp", metrics=specs, triples=False)
+    oracle = linprog_bounds(net, specs, triples=False)
     assert res_h.extra["backend"] == "highs"
-    assert res_s.extra["backend"] == "scipy"
     for a, b in (
-        (res_h.throughput_interval(0), res_s.throughput_interval(0)),
-        (res_h.queue_length_interval(0), res_s.queue_length_interval(0)),
-        (res_h.system_throughput, res_s.system_throughput),
+        (res_h.throughput_interval(0), oracle["throughput[0]"]),
+        (res_h.queue_length_interval(0), oracle["queue_length[0]"]),
+        (res_h.system_throughput, oracle["system_throughput"]),
     ):
         assert abs(a.lower - b.lower) <= 1e-9, (name, a, b)
         assert abs(a.upper - b.upper) <= 1e-9, (name, a, b)
