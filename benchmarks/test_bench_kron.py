@@ -28,6 +28,7 @@ from repro import obs
 from repro.network.exact import expected_state_count
 from repro.network.kron import kronecker_generator
 from repro.network.statespace import NetworkStateSpace
+from repro.obs.sentinel import BASELINE_FLOORS
 from repro.runtime import SolverRegistry
 from repro.runtime.cache import ResultCache
 from repro.scenarios import get_scenario
@@ -37,12 +38,9 @@ from repro.scenarios import get_scenario
 _SHAPE = {"quick": (5, 6), "large": (6, 18)}
 
 DENSE_WALL = 2_000_000
-#: The operator's storage floor is the cached closed-form diagonal
-#: (~10 bytes/state incl. the digit table), so the win is capped by the
-#: per-state CSR fill: ~13x at the large ring shape (nnz/S ~ 10.4,
-#: ~129 CSR bytes/state).  The gates sit just under each shape's
-#: structural ceiling.
-MEMORY_WIN_GATE = {"quick": 4.0, "large": 10.0}
+#: Per-preset floor of the storage win, stated once with the sentinel's
+#: baseline gates (``repro.obs.sentinel.BASELINE_FLOORS``).
+MEMORY_WIN_GATE = BASELINE_FLOORS[("kron", "memory_win_factor")]
 TIMES = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 
 #: CSR storage model: float64 data + int32 indices per entry, int32 indptr.
@@ -87,7 +85,12 @@ def test_operator_memory_win(network, operator, kron_perf_report):
 
 
 def test_matvec_wallclock(operator, kron_perf_report):
-    """Record the kernel's per-application cost at the preset size."""
+    """Record the kernel's per-application cost at the preset size.
+
+    Where the materialized generator fits (below the dense wall: the
+    quick preset), one CSR ``x @ Q`` is timed too, as the machine-local
+    reference of the kernel.  Charted, not gated.
+    """
     x = np.linspace(-1.0, 1.0, operator.shape[0])
     operator.rmatvec(x)  # warm the factor caches
     rounds = 3
@@ -99,6 +102,18 @@ def test_matvec_wallclock(operator, kron_perf_report):
     for _ in range(rounds):
         operator.matvec(x)
     t_matvec = (time.perf_counter() - t0) / rounds
+    reference = {}
+    if operator.shape[0] <= DENSE_WALL:
+        QT = operator.materialize().T.tocsr()
+        QT @ x
+        t0 = time.perf_counter()
+        for _ in range(rounds):
+            QT @ x
+        t_csr = (time.perf_counter() - t0) / rounds
+        reference = {
+            "t_csr_rmatvec_s": float(t_csr),
+            "matvec_over_csr": float(t_rmatvec / max(t_csr, 1e-12)),
+        }
     kron_perf_report.record(
         "kron_matvec",
         preset=bench_preset(),
@@ -106,6 +121,7 @@ def test_matvec_wallclock(operator, kron_perf_report):
         t_rmatvec_s=float(t_rmatvec),
         t_matvec_s=float(t_matvec),
         states_per_second=float(operator.shape[0] / max(t_rmatvec, 1e-12)),
+        **reference,
     )
 
 

@@ -1,10 +1,13 @@
 """Steady-state solution of continuous-time Markov chains.
 
-Solves ``pi @ Q = 0`` with ``pi @ 1 = 1`` for sparse generators.  The direct
-method replaces one balance equation with the normalization condition and
-factorizes once; the iterative method (GMRES + ILU) covers state spaces too
-large for a sparse LU — the regime where the paper's bounds are the only
-practical analytic option.
+Solves ``pi @ Q = 0`` with ``pi @ 1 = 1`` for sparse generators.  Both
+assembled-matrix methods solve the same reduced system: states outside the
+chain's unique closed communicating class get ``pi = 0``, and one state of
+the class is pinned to ``pi_k = 1``, which leaves a nonsingular M-matrix
+system over the rest of the class.  The direct method factorizes it once
+without pivoting; the iterative method (GMRES + ILU) covers state spaces
+too large for a sparse LU — the regime where the paper's bounds are the
+only practical analytic option.  Either way ``pi`` is normalized last.
 
 ``Q`` may also be a matrix-free :class:`scipy.sparse.linalg.LinearOperator`
 exposing ``matvec``/``rmatvec`` (e.g. the Kronecker generator of
@@ -19,7 +22,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
+from repro import obs
 from repro.utils.errors import IterativeSolverError, SolverError
 
 __all__ = ["steady_state_ctmc"]
@@ -30,33 +35,102 @@ __all__ = ["steady_state_ctmc"]
 OPERATOR_MAXITER = 3000
 
 
-def _solve_direct(QT: sp.csr_matrix) -> np.ndarray:
-    S = QT.shape[0]
-    A = QT.tolil(copy=True)
-    A[S - 1, :] = 1.0  # replace last equation with normalization
-    b = np.zeros(S)
-    b[S - 1] = 1.0
-    pi = spla.spsolve(A.tocsc(), b)
-    return pi
+def _closed_class(Qs: sp.csr_matrix) -> np.ndarray:
+    """Ascending states of the chain's unique closed communicating class.
+
+    States outside it are transient and carry no stationary mass; more
+    than one closed class leaves the stationary law non-unique.
+    """
+    edges = Qs > 0
+    n_comp, label = csgraph.connected_components(
+        edges, directed=True, connection="strong"
+    )
+    if n_comp == 1:
+        return np.arange(Qs.shape[0])
+    edges = edges.tocoo()
+    leaves = label[edges.row] != label[edges.col]
+    open_class = np.zeros(n_comp, dtype=bool)
+    open_class[label[edges.row[leaves]]] = True
+    closed = np.flatnonzero(~open_class)
+    if len(closed) != 1:
+        raise SolverError(
+            f"chain has {len(closed)} closed communicating classes; "
+            "the stationary distribution is not unique"
+        )
+    return np.flatnonzero(label == closed[0])
 
 
-def _solve_gmres(QT: sp.csr_matrix, tol: float) -> np.ndarray:
-    S = QT.shape[0]
-    # Regularized system: (Q^T + e e_last^T-style normalization row).
-    A = QT.tolil(copy=True)
-    A[S - 1, :] = 1.0
-    A = A.tocsc()
-    b = np.zeros(S)
-    b[S - 1] = 1.0
+def _reduced_system(
+    Qs: sp.csr_matrix, states: np.ndarray, pin: int
+) -> tuple[np.ndarray, sp.csc_matrix, np.ndarray]:
+    """Balance equations of the closed class with ``pi_pin = 1`` pinned.
+
+    Dropping the pinned row and column of ``-Q^T`` over the class leaves
+    a nonsingular, column-diagonally-dominant M-matrix ``A``; the
+    unknowns ``x = pi[keep] / pi[pin]`` solve ``A x = Q[pin, keep]``.
+    Returns ``(keep, A, b)``.
+    """
+    keep = states[states != pin]
+    A = -Qs[keep][:, keep]
+    b = Qs[pin].toarray().ravel()[keep]
+    return keep, A.T.tocsc(), b
+
+
+def _expand(keep: np.ndarray, pin: int, x: np.ndarray, S: int) -> np.ndarray:
+    """Normalized full-length ``pi`` from the pinned solution ``x``."""
+    pi = np.zeros(S)
+    pi[keep] = x
+    pi[pin] = 1.0
+    return pi / pi.sum()
+
+
+def _solve_direct(Qs: sp.csr_matrix, states: np.ndarray, span) -> np.ndarray:
+    keep, A, b = _reduced_system(Qs, states, states[-1])
+    # No pivoting is needed on an M-matrix: keep the diagonal and order
+    # for the symmetric pattern of A + A^T (fill numbers in
+    # docs/performance.md, "Dense stationary solve").
+    lu = spla.splu(
+        A,
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    span.count("ctmc.lu_nnz", int(lu.nnz))
+    return _expand(keep, states[-1], lu.solve(b), Qs.shape[0])
+
+
+def _ilu_estimate(A: sp.csc_matrix, b: np.ndarray):
+    """ILU preconditioner of ``A`` (or ``None``) and its estimate of ``x``."""
     try:
         ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
-        M = spla.LinearOperator((S, S), ilu.solve)
     except RuntimeError:
-        M = None
-    x0 = np.full(S, 1.0 / S)
-    pi, info = spla.gmres(A, b, x0=x0, M=M, rtol=tol, maxiter=2000, restart=100)
+        return None, np.ones(A.shape[0])
+    return spla.LinearOperator(A.shape, ilu.solve), ilu.solve(b)
+
+
+def _solve_gmres(Qs: sp.csr_matrix, states: np.ndarray, tol: float) -> np.ndarray:
+    pin = states[-1]
+    keep, A, b = _reduced_system(Qs, states, pin)
+    M, x_est = _ilu_estimate(A, b)
+    # Pin the most probable state instead: with a small pi_pin the
+    # unknowns span many decades and GMRES stalls on round-off.
+    top = int(np.argmax(x_est))
+    if x_est[top] > 1.0:
+        pin = keep[top]
+        keep, A, b = _reduced_system(Qs, states, pin)
+        M, x_est = _ilu_estimate(A, b)
+    # Start from the uniform law and stop at a backward error of ``tol``:
+    # residuals per unit of normalized probability (mass = 1 / pi_pin)
+    # and per unit of rate.
+    n = A.shape[0]
+    mass = 1.0 + float(np.abs(x_est).sum())
+    scale = mass * max(1.0, float(A.diagonal().max()))
+    x, info = spla.gmres(
+        A, b, x0=np.full(n, mass / (n + 1)), M=M, rtol=0.0, atol=tol * scale,
+        maxiter=2000, restart=100,
+    )
     if info != 0:
-        residual = float(np.abs(A @ pi - b).max())
+        residual = float(np.abs(A @ x - b).max()) / scale
         raise IterativeSolverError(
             solver="gmres",
             info=int(info),
@@ -64,7 +138,7 @@ def _solve_gmres(QT: sp.csr_matrix, tol: float) -> np.ndarray:
             residual=residual,
             tolerance=tol,
         )
-    return pi
+    return _expand(keep, pin, x, Qs.shape[0])
 
 
 def _solve_operator(Q: spla.LinearOperator, tol: float) -> np.ndarray:
@@ -209,15 +283,21 @@ def steady_state_ctmc(
     if S == 1:
         return np.ones(1)
 
-    QT = Qs.T.tocsr()
     if method == "auto":
         method = "direct" if S <= 300_000 else "gmres"
-    if method == "direct":
-        pi = _solve_direct(QT)
-    elif method == "gmres":
-        pi = _solve_gmres(QT, tol=max(tol, 1e-12))
-    else:
+    if method not in ("direct", "gmres"):
         raise ValueError(f"unknown method {method!r}")
+    with obs.get_telemetry().span(
+        "ctmc.solve", n_states=S, nnz=int(Qs.nnz), method=method
+    ) as span:
+        states = _closed_class(Qs)
+        if len(states) == 1:  # one absorbing state
+            pi = np.zeros(S)
+            pi[states] = 1.0
+        elif method == "direct":
+            pi = _solve_direct(Qs, states, span)
+        else:
+            pi = _solve_gmres(Qs, states, tol=max(tol, 1e-12))
 
     # Clean round-off and validate.
     pi = np.where(np.abs(pi) < 1e-15, 0.0, pi)

@@ -18,7 +18,11 @@ the paper's terms.  This module stores only the **factors** and computes
   precomputed injective composition shift ``n - e_j + e_k``);
 * the diagonal is the closed form ``-sum_j c_j(n_j) r_j(h_j)`` with
   ``r_j`` the per-phase total exit rate, precomputed once as a dense
-  ``(Sc, n_phase)`` array — the same O(S) footprint as one state vector.
+  ``(Sc, n_phase)`` array — the same O(S) footprint as one state vector;
+* both conventions run one apply plan built at construction: each
+  station's phase factors are stored in the shape of their BLAS call,
+  with routing probabilities folded in and non-unit rate scales kept as
+  busy-row weights (:class:`_StationPlan`).
 
 Storage is ``O(S + M * Sc)`` (the diagonal plus the composition index
 arrays) instead of ``O(nnz(Q))``; one matvec costs the same
@@ -141,57 +145,107 @@ class StationFactor:
         return total
 
 
-def _contract_phase(
-    X: np.ndarray,
-    B: np.ndarray,
-    pre: int,
-    K: int,
-    post: int,
-    out: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Contract the length-``K`` mixed-radix axis of ``X`` with ``B``.
+#: Trailing-block length up to which a phase contraction runs as one GEMM
+#: against ``kron(B, I_post)``; longer blocks use ``K^2`` scaled adds over
+#: contiguous slabs.  The crossover is measured in docs/performance.md
+#: ("The Kronecker kernel").
+GEMM_MAX_POST = 32
 
-    ``out[r, (p, b, q)] = sum_a X[r, (p, a, q)] * B[a, b]`` where phase
-    codes factor as ``(pre, K, post)`` in row-major order.  With ``out``
-    the product is *accumulated* into the given array (saving a
-    full-state temporary on the hot path).  The ``post == 1`` case (last
-    station's axis) reduces to one BLAS matmul.  For the small phase
-    orders of MAP(2) factors the general case runs as ``K^2`` scaled adds
-    over contiguous slabs — memory-bound, and several times faster than
-    the equivalent (non-BLAS) einsum on one core; larger blocks fall back
-    to einsum, whose footprint is independent of ``K``.
+
+def _rows(idx: np.ndarray) -> "slice | np.ndarray":
+    """``idx`` as a slice when it is one contiguous run (views, no copies)."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class _Contraction:
+    """Right-multiplication of ``(R, n_phase)`` rows by ``I_pre (x) B (x) I_post``.
+
+    ``B`` acts on one mixed-radix phase axis whose codes factor as
+    ``(pre, K, post)`` in row-major order.  With a short trailing block
+    the whole product is one GEMM of the contiguous ``(R*pre, K*post)``
+    reshape against ``kron(B, I_post)``; otherwise it runs as ``K^2``
+    scaled adds over ``(R*pre, post)`` slabs, skipping zero weights.
     """
-    R = X.shape[0]
-    if post == 1 or K > 4:
-        if post == 1:
-            prod = (X.reshape(R * pre, K) @ B).reshape(R, -1)
-        else:
-            Xr = X.reshape(R * pre, K, post)
-            prod = np.einsum("zap,ab->zbp", Xr, B).reshape(R, -1)
-        if out is None:
-            return prod
-        out += prod
+
+    __slots__ = ("pre", "K", "post", "B", "F")
+
+    def __init__(self, B: np.ndarray, pre: int, post: int) -> None:
+        self.pre, self.K, self.post = pre, B.shape[0], post
+        self.B = np.ascontiguousarray(B)
+        self.F = np.kron(B, np.eye(post)) if post <= GEMM_MAX_POST else None
+
+    @property
+    def nbytes(self) -> int:
+        return self.B.nbytes + (0 if self.F is None else self.F.nbytes)
+
+    def __call__(self, Z: np.ndarray) -> np.ndarray:
+        R, width = Z.shape
+        pre, K, post = self.pre, self.K, self.post
+        if self.F is not None:
+            return (Z.reshape(R * pre, K * post) @ self.F).reshape(R, width)
+        Zr = Z.reshape(R * pre, K, post)
+        out = np.zeros((R, width))
+        Yr = out.reshape(R * pre, K, post)
+        tmp = np.empty((R * pre, post))
+        for b in range(K):
+            for a in range(K):
+                w = self.B[a, b]
+                if w != 0.0:
+                    np.multiply(Zr[:, a, :], w, out=tmp)
+                    Yr[:, b, :] += tmp
         return out
-    Xr = X.reshape(R * pre, K, post)
-    fresh = out is None
-    if fresh:
-        out = np.empty_like(X)
-    Yr = out.reshape(R * pre, K, post)
-    for b in range(K):
-        acc = Yr[:, b, :]
-        started = not fresh
-        for a in range(K):
-            w = B[a, b]
-            if w == 0.0:
-                continue
-            if started:
-                acc += Xr[:, a, :] * w
-            else:
-                np.multiply(Xr[:, a, :], w, out=acc)
-                started = True
-        if not started:
-            acc[...] = 0.0
-    return out
+
+
+class _StationPlan:
+    """One station's part of the apply, built once per operator.
+
+    ``terms`` pairs the composition rows each phase factor touches with
+    that factor in both conventions: the local term ``offdiag(D0 + p_jj
+    D1)`` on the busy rows (skipped when all zero) and one ``p_jk D1``
+    per routing target on its shifted rows.  ``weights`` holds the rate
+    scales ``c_j(n)`` of the busy rows, or ``None`` when they are all one
+    (queues), so unit scales cost no pass at all.
+    """
+
+    __slots__ = ("busy", "weights", "terms")
+
+    def __init__(self, f: StationFactor, pre: int, post: int) -> None:
+        self.busy = _rows(f.busy)
+        w = f.scale[f.busy]
+        self.weights = None if np.all(w == 1.0) else w[:, None].copy()
+        terms = []
+        if np.any(f.local != 0.0):
+            terms.append((self.busy, f.local))
+        terms.extend((_rows(m.dst), m.prob * f.D1) for m in f.moves)
+        self.terms = tuple(
+            (rows, _Contraction(B, pre, post), _Contraction(B.T, pre, post))
+            for rows, B in terms
+        )
+
+    @property
+    def nbytes(self) -> int:
+        total = 0 if self.weights is None else self.weights.nbytes
+        return total + sum(fwd.nbytes + bwd.nbytes for _, fwd, bwd in self.terms)
+
+    def rmatvec_into(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """``Y += X @ Q_j`` (row convention): contract, then scatter rows."""
+        Z = X[self.busy]
+        if self.weights is not None:
+            Z = Z * self.weights
+        for rows, fwd, _ in self.terms:
+            Y[rows] += fwd(Z)
+
+    def matvec_into(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """``Y += Q_j @ X`` (column convention): gather rows, then contract."""
+        rows, _, bwd = self.terms[0]
+        acc = bwd(X[rows])
+        for rows, _, bwd in self.terms[1:]:
+            acc += bwd(X[rows])
+        if self.weights is not None:
+            acc *= self.weights
+        Y[self.busy] += acc
 
 
 class KroneckerGenerator(spla.LinearOperator):
@@ -260,6 +314,13 @@ class KroneckerGenerator(spla.LinearOperator):
         #: conventions), the deterministic cost measure benches gate on.
         self.n_matvecs = 0
         self._diag2 = self._build_diagonal()
+        plan = []
+        for f in factors:
+            if len(f.busy):
+                pre, _, post = self._axis_split(f.station)
+                plan.append(_StationPlan(f, pre, post))
+        # a station with no phase dynamics and no routed moves adds nothing
+        self._plan = tuple(p for p in plan if p.terms)
 
     # ------------------------------------------------------------------ #
     # layout helpers
@@ -303,17 +364,8 @@ class KroneckerGenerator(spla.LinearOperator):
         self._count()
         X = np.asarray(x, dtype=float).reshape(self.n_comps, self.n_phase)
         Y = X * self._diag2
-        for f in self.factors:
-            pre, K, post = self._axis_split(f.station)
-            Z = X * f.scale[:, None]
-            if K > 1:
-                _contract_phase(Z, f.local, pre, K, post, out=Y)
-            if f.moves:
-                W = _contract_phase(Z, f.D1, pre, K, post)
-                for m in f.moves:
-                    T = W[f.busy]
-                    T *= m.prob
-                    Y[m.dst] += T
+        for plan in self._plan:
+            plan.rmatvec_into(X, Y)
         return Y.reshape(-1)
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
@@ -321,19 +373,8 @@ class KroneckerGenerator(spla.LinearOperator):
         self._count()
         X = np.asarray(x, dtype=float).reshape(self.n_comps, self.n_phase)
         Y = X * self._diag2
-        for f in self.factors:
-            pre, K, post = self._axis_split(f.station)
-            if K > 1:
-                Z = _contract_phase(X, f.local.T, pre, K, post)
-                Z *= f.scale[:, None]
-                Y += Z
-            if f.moves:
-                W = _contract_phase(X, f.D1.T, pre, K, post)
-                scale_busy = f.scale[f.busy]
-                for m in f.moves:
-                    T = W[m.dst]
-                    T *= (m.prob * scale_busy)[:, None]
-                    Y[f.busy] += T
+        for plan in self._plan:
+            plan.matvec_into(X, Y)
         return Y.reshape(-1)
 
     # ------------------------------------------------------------------ #
@@ -345,9 +386,10 @@ class KroneckerGenerator(spla.LinearOperator):
 
     @property
     def nbytes(self) -> int:
-        """Operator storage: diagonal, digit table, and all factors."""
+        """Operator storage: diagonal, digit table, factors and apply plan."""
         total = self._diag2.nbytes + self.phase_digits.nbytes
         total += sum(f.nbytes for f in self.factors)
+        total += sum(plan.nbytes for plan in self._plan)
         return total
 
     def materialized_nnz(self) -> int:

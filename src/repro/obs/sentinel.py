@@ -34,6 +34,7 @@ from repro.obs.history import (
 
 __all__ = [
     "BASELINE_GATES",
+    "BASELINE_FLOORS",
     "DEFAULT_FLOOR_S",
     "DEFAULT_RATIO",
     "SentinelReport",
@@ -236,15 +237,27 @@ def _gates_fluid(payload: dict) -> list[str]:
     return fails
 
 
+#: Preset-aware floors of the deterministic baseline gates, keyed by
+#: ``(benchmark, field)`` and then by preset.  Benchmarks read their own
+#: in-test floors from here, so each floor is stated once.  The kron
+#: memory win is capped by the per-state CSR fill, because the operator's
+#: own floor is its closed-form diagonal (~10 bytes/state): ~13x at the
+#: large ring shape.  Each floor sits just under its shape's ceiling.
+BASELINE_FLOORS = {
+    ("kron", "memory_win_factor"): {"quick": 4.0, "large": 10.0},
+}
+
+
 def _gates_kron(payload: dict) -> list[str]:
     """Kronecker-backend invariants (memory win is deterministic)."""
     fails = _require_cases(payload, {"kron_memory_win", "kron_registry_solves"})
     if fails:
         return fails
     win = _entry(payload, "kron_memory_win")
-    if win.get("memory_win_factor", 0.0) < 4.0:
+    floor = BASELINE_FLOORS[("kron", "memory_win_factor")][payload["preset"]]
+    if win.get("memory_win_factor", 0.0) < floor:
         fails.append(
-            f"operator-vs-CSR memory win {win.get('memory_win_factor')!r} < 4.0"
+            f"operator-vs-CSR memory win {win.get('memory_win_factor')!r} < {floor}"
         )
     solves = _entry(payload, "kron_registry_solves")
     if solves.get("backend") not in ("auto", "operator"):

@@ -292,3 +292,104 @@ def test_solve_exact_rejects_unknown_backend():
     net = ring_model(2, n_stations=2)
     with pytest.raises(ValueError):
         solve_exact(net, backend="sparse")
+
+
+# ---------------------------------------------------------------------- #
+# every branch of the apply plan
+# ---------------------------------------------------------------------- #
+def random_map(order, rng):
+    """Irreducible MAP of the given order with dense random rates."""
+    from repro.maps import MAP
+
+    D0 = rng.uniform(0.1, 1.0, size=(order, order))
+    D1 = rng.uniform(0.1, 1.0, size=(order, order))
+    np.fill_diagonal(D0, 0.0)
+    np.fill_diagonal(D0, -(D0.sum(axis=1) + D1.sum(axis=1)))
+    return MAP(D0, D1)
+
+
+def _branch_network(kind):
+    from repro.maps import exponential
+    from repro.network import delay
+
+    rng = np.random.default_rng(7)
+    if kind == "orders-1-to-5":
+        stations = [queue(f"k{K}", random_map(K, rng)) for K in range(1, 6)]
+        routing = np.roll(np.eye(5), 1, axis=1)  # ring
+        return Network(stations, routing, 2)
+    if kind == "long-trailing-block":
+        # station 0 sees a trailing block of 3*4*3 = 36 phase codes
+        stations = [queue(f"q{j}", random_map(K, rng)) for j, K in enumerate((2, 3, 4, 3))]
+        routing = rng.uniform(0.1, 1.0, size=(4, 4))
+        return Network(stations, routing / routing.sum(axis=1, keepdims=True), 2)
+    if kind == "delay-multi-target":
+        routing = np.array(
+            [[0.0, 0.5, 0.3, 0.2], [1.0, 0.0, 0.0, 0.0],
+             [0.6, 0.0, 0.0, 0.4], [1.0, 0.0, 0.0, 0.0]]
+        )
+        stations = [
+            delay("think", exponential(0.7)),
+            queue("a", random_map(3, rng)),
+            queue("b", random_map(2, rng)),
+            queue("c", exponential(2.0)),
+        ]
+        return Network(stations, routing, 4)
+    if kind == "self-routing":
+        routing = np.array([[0.4, 0.6, 0.0], [0.0, 0.5, 0.5], [0.7, 0.0, 0.3]])
+        stations = [
+            queue("map", random_map(3, rng)),
+            queue("exp", exponential(1.5)),  # self-routed: all-zero local term
+            queue("map2", random_map(2, rng)),
+        ]
+        return Network(stations, routing, 3)
+    raise ValueError(kind)
+
+
+BRANCH_NETWORKS = (
+    "orders-1-to-5", "long-trailing-block", "delay-multi-target", "self-routing",
+)
+
+
+@pytest.mark.parametrize("gemm_max_post", [0, None, 10**6], ids=["slab", "mixed", "gemm"])
+@pytest.mark.parametrize("kind", BRANCH_NETWORKS)
+def test_apply_plan_branches_match_assembled(kind, gemm_max_post, monkeypatch):
+    from repro.markov import kronop
+
+    if gemm_max_post is not None:
+        monkeypatch.setattr(kronop, "GEMM_MAX_POST", gemm_max_post)
+    net = _branch_network(kind)
+    space = NetworkStateSpace(net)
+    op = kronecker_generator(net, space)
+    contractions = [c for p in op._plan for _, fwd, bwd in p.terms for c in (fwd, bwd)]
+    uses_gemm = {c.F is not None for c in contractions}
+    if gemm_max_post == 0:
+        assert uses_gemm == {False}
+    elif gemm_max_post is None and kind == "long-trailing-block":
+        assert uses_gemm == {False, True}
+    elif gemm_max_post is not None:
+        assert uses_gemm == {True}
+    assert relative_matvec_error(net, space) < MATVEC_TOL
+
+
+def test_apply_plan_folds_scales_and_skips_zero_local_terms():
+    net = _branch_network("delay-multi-target")
+    op = kronecker_generator(net)
+    think, a, b, c = op._plan
+    assert think.weights is not None  # c_j(n) = n at the delay station
+    assert a.weights is None and b.weights is None and c.weights is None
+    # the exponential stations have no phase dynamics: moves only
+    assert len(think.terms) == 3 and len(c.terms) == 1
+    # the MAP queues keep their local term plus one term per target
+    assert len(a.terms) == 2 and len(b.terms) == 3
+    selfish = kronecker_generator(_branch_network("self-routing"))
+    assert len(selfish._plan[1].terms) == 1  # p_jj D1 of a MAP(1) is diagonal
+
+
+@pytest.mark.parametrize("kind", BRANCH_NETWORKS)
+def test_nbytes_counts_the_apply_plan(kind):
+    op = kronecker_generator(_branch_network(kind))
+    plan = sum(p.nbytes for p in op._plan)
+    base = op._diag2.nbytes + op.phase_digits.nbytes
+    base += sum(f.nbytes for f in op.factors)
+    assert plan > 0
+    assert op.nbytes == base + plan

@@ -151,6 +151,24 @@ class TestBaselineGates:
         assert not report.ok
         assert "kron_registry_solves" in report.regressions[0]
 
+    def test_kron_memory_win_floor_is_preset_aware(self, tmp_path):
+        from repro.obs.sentinel import BASELINE_FLOORS
+
+        floors = BASELINE_FLOORS[("kron", "memory_win_factor")]
+        assert floors == {"quick": 4.0, "large": 10.0}
+        entries = [
+            {"case": "kron_memory_win", "memory_win_factor": 9.0},
+            {"case": "kron_registry_solves", "backend": "auto"},
+        ]
+        quick = write(
+            tmp_path / "BENCH_kron.quick.json", artifact("kron", "quick", entries)
+        )
+        assert check_baseline_gates(quick).ok
+        large = write(tmp_path / "BENCH_kron.json", artifact("kron", "large", entries))
+        report = check_baseline_gates(large)
+        assert not report.ok
+        assert "memory win 9.0 < 10.0" in report.regressions[0]
+
     def test_fluid_wall_clock_gate_is_large_only(self, tmp_path):
         entries = [
             {"case": "fluid_million", "states_enumerated": False,

@@ -5,6 +5,8 @@ the package against.
     a stateless ``scipy.optimize.linprog`` solve of the marginal-balance LP.
 ``assembly_reference``
     the seed row-by-row constraint emitter.
+``ctmc``
+    a dense null-space solve of ``pi @ Q = 0``.
 
 ``pyproject.toml`` puts ``tests/`` on pytest's ``pythonpath``, so both
 ``tests/`` and ``benchmarks/`` import these as ``oracles.<name>``.
