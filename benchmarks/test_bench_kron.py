@@ -28,7 +28,7 @@ from repro import obs
 from repro.network.exact import expected_state_count
 from repro.network.kron import kronecker_generator
 from repro.network.statespace import NetworkStateSpace
-from repro.obs.sentinel import BASELINE_FLOORS
+from repro.obs.sentinel import KRON_MEMORY_WIN_FLOOR
 from repro.runtime import SolverRegistry
 from repro.runtime.cache import ResultCache
 from repro.scenarios import get_scenario
@@ -38,9 +38,6 @@ from repro.scenarios import get_scenario
 _SHAPE = {"quick": (5, 6), "large": (6, 18)}
 
 DENSE_WALL = 2_000_000
-#: Per-preset floor of the storage win, stated once with the sentinel's
-#: baseline gates (``repro.obs.sentinel.BASELINE_FLOORS``).
-MEMORY_WIN_GATE = BASELINE_FLOORS[("kron", "memory_win_factor")]
 TIMES = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 
 #: CSR storage model: float64 data + int32 indices per entry, int32 indptr.
@@ -77,7 +74,7 @@ def test_operator_memory_win(network, operator, kron_perf_report):
         memory_win_factor=float(win),
     )
     # Deterministic gate: both sides are closed-form byte counts.
-    gate = MEMORY_WIN_GATE[bench_preset()]
+    gate = KRON_MEMORY_WIN_FLOOR[bench_preset()]
     assert win >= gate, (
         f"operator storage win {win:.1f}x < {gate}x "
         f"({operator.nbytes:,} operator bytes vs {csr_bytes:,} CSR bytes)"

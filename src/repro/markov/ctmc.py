@@ -4,10 +4,12 @@ Solves ``pi @ Q = 0`` with ``pi @ 1 = 1`` for sparse generators.  Both
 assembled-matrix methods solve the same reduced system: states outside the
 chain's unique closed communicating class get ``pi = 0``, and one state of
 the class is pinned to ``pi_k = 1``, which leaves a nonsingular M-matrix
-system over the rest of the class.  The direct method factorizes it once
-without pivoting; the iterative method (GMRES + ILU) covers state spaces
-too large for a sparse LU — the regime where the paper's bounds are the
-only practical analytic option.  Either way ``pi`` is normalized last.
+system over the rest of the class.  The direct method factorizes it
+without pivoting, pinning a heavier state when the first pin holds too
+little mass to factor stably; the iterative method (GMRES + ILU) covers
+state spaces too large for a sparse LU — the regime where the paper's
+bounds are the only practical analytic option.  Either way ``pi`` is
+normalized last.
 
 ``Q`` may also be a matrix-free :class:`scipy.sparse.linalg.LinearOperator`
 exposing ``matvec``/``rmatvec`` (e.g. the Kronecker generator of
@@ -33,6 +35,13 @@ __all__ = ["steady_state_ctmc"]
 #: operator applications; preconditioned solves on catalog-scale factors
 #: converge in 150-250 iterations, largely independent of state count.
 OPERATOR_MAXITER = 3000
+
+#: GMRES stops at a backward error this many times below ``tol``.  The
+#: pinned system amplifies the backward error into the answer: at ``tol``
+#: itself, fig5 N=600 (361,802 states) lands 4e-7 from the direct solve,
+#: at ``tol / 1000`` 4e-10, against 2e-9 for the seed's bordered system
+#: (docs/performance.md, "Dense stationary solve").
+GMRES_BACKWARD_MARGIN = 1000.0
 
 
 def _closed_class(Qs: sp.csr_matrix) -> np.ndarray:
@@ -84,8 +93,34 @@ def _expand(keep: np.ndarray, pin: int, x: np.ndarray, S: int) -> np.ndarray:
     return pi / pi.sum()
 
 
-def _solve_direct(Qs: sp.csr_matrix, states: np.ndarray, span) -> np.ndarray:
-    keep, A, b = _reduced_system(Qs, states, states[-1])
+def _pinned_solve(Qs: sp.csr_matrix, states: np.ndarray, factor, pin: int):
+    """Factor and solve the reduced system, re-pinning a too-light pin.
+
+    ``factor(A, b)`` returns ``(factorization, x)``.  The elimination
+    pivots scale with ``pi_pin``: when the pin holds a tiny share of the
+    mass, a pivot cancels to zero or to round-off of either sign, and
+    ``x`` overflows or turns negative.  Then pin the heaviest state of the
+    estimate instead (from a partially pivoted solve when the factorization
+    itself broke down) and factor again.  Returns ``(keep, pin, A, b,
+    factorization, x)``.
+    """
+    # Each re-pin lands on a state the estimate puts far above the old
+    # pin, so a few tries suffice.
+    for _ in range(4):
+        keep, A, b = _reduced_system(Qs, states, pin)
+        try:
+            fact, x = factor(A, b)
+        except RuntimeError:  # a pivot cancelled to exactly zero
+            x = spla.spsolve(A, b)
+        else:
+            total = np.abs(x).sum()
+            if np.isfinite(total) and x.min() >= -1e-8 * (1.0 + total):
+                return keep, pin, A, b, fact, x
+        pin = keep[int(np.argmax(np.nan_to_num(np.abs(x), nan=0.0)))]
+    raise SolverError("stationary solve found no pin state that factors stably")
+
+
+def _lu_factor(A: sp.csc_matrix, b: np.ndarray):
     # No pivoting is needed on an M-matrix: keep the diagonal and order
     # for the symmetric pattern of A + A^T (fill numbers in
     # docs/performance.md, "Dense stationary solve").
@@ -95,8 +130,13 @@ def _solve_direct(Qs: sp.csr_matrix, states: np.ndarray, span) -> np.ndarray:
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
+    return lu, lu.solve(b)
+
+
+def _solve_direct(Qs: sp.csr_matrix, states: np.ndarray, span) -> np.ndarray:
+    keep, pin, _, _, lu, x = _pinned_solve(Qs, states, _lu_factor, states[-1])
     span.count("ctmc.lu_nnz", int(lu.nnz))
-    return _expand(keep, states[-1], lu.solve(b), Qs.shape[0])
+    return _expand(keep, pin, x, Qs.shape[0])
 
 
 def _ilu_estimate(A: sp.csc_matrix, b: np.ndarray):
@@ -109,22 +149,18 @@ def _ilu_estimate(A: sp.csc_matrix, b: np.ndarray):
 
 
 def _solve_gmres(Qs: sp.csr_matrix, states: np.ndarray, tol: float) -> np.ndarray:
-    pin = states[-1]
-    keep, A, b = _reduced_system(Qs, states, pin)
-    M, x_est = _ilu_estimate(A, b)
+    keep, pin, A, b, M, x_est = _pinned_solve(Qs, states, _ilu_estimate, states[-1])
     # Pin the most probable state instead: with a small pi_pin the
     # unknowns span many decades and GMRES stalls on round-off.
     top = int(np.argmax(x_est))
     if x_est[top] > 1.0:
-        pin = keep[top]
-        keep, A, b = _reduced_system(Qs, states, pin)
-        M, x_est = _ilu_estimate(A, b)
-    # Start from the uniform law and stop at a backward error of ``tol``:
-    # residuals per unit of normalized probability (mass = 1 / pi_pin)
-    # and per unit of rate.
+        keep, pin, A, b, M, x_est = _pinned_solve(Qs, states, _ilu_estimate, keep[top])
+    # Start from the uniform law and stop at a backward error of
+    # ``tol / GMRES_BACKWARD_MARGIN``: residuals per unit of normalized
+    # probability (mass = 1 / pi_pin) and per unit of rate.
     n = A.shape[0]
     mass = 1.0 + float(np.abs(x_est).sum())
-    scale = mass * max(1.0, float(A.diagonal().max()))
+    scale = mass * max(1.0, float(A.diagonal().max())) / GMRES_BACKWARD_MARGIN
     x, info = spla.gmres(
         A, b, x0=np.full(n, mass / (n + 1)), M=M, rtol=0.0, atol=tol * scale,
         maxiter=2000, restart=100,

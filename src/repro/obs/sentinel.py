@@ -34,9 +34,9 @@ from repro.obs.history import (
 
 __all__ = [
     "BASELINE_GATES",
-    "BASELINE_FLOORS",
     "DEFAULT_FLOOR_S",
     "DEFAULT_RATIO",
+    "KRON_MEMORY_WIN_FLOOR",
     "SentinelReport",
     "check_artifact",
     "check_baseline_gates",
@@ -237,15 +237,12 @@ def _gates_fluid(payload: dict) -> list[str]:
     return fails
 
 
-#: Preset-aware floors of the deterministic baseline gates, keyed by
-#: ``(benchmark, field)`` and then by preset.  Benchmarks read their own
-#: in-test floors from here, so each floor is stated once.  The kron
-#: memory win is capped by the per-state CSR fill, because the operator's
-#: own floor is its closed-form diagonal (~10 bytes/state): ~13x at the
-#: large ring shape.  Each floor sits just under its shape's ceiling.
-BASELINE_FLOORS = {
-    ("kron", "memory_win_factor"): {"quick": 4.0, "large": 10.0},
-}
+#: Per-preset floor of the kron operator-vs-CSR memory win, read by both
+#: this gate and ``benchmarks/test_bench_kron.py``.  The win is capped by
+#: the per-state CSR fill, because the operator's own floor is its
+#: closed-form diagonal (~10 bytes/state): ~13x at the large ring shape.
+#: Each floor sits just under its shape's ceiling.
+KRON_MEMORY_WIN_FLOOR = {"quick": 4.0, "large": 10.0}
 
 
 def _gates_kron(payload: dict) -> list[str]:
@@ -254,7 +251,7 @@ def _gates_kron(payload: dict) -> list[str]:
     if fails:
         return fails
     win = _entry(payload, "kron_memory_win")
-    floor = BASELINE_FLOORS[("kron", "memory_win_factor")][payload["preset"]]
+    floor = KRON_MEMORY_WIN_FLOOR[payload["preset"]]
     if win.get("memory_win_factor", 0.0) < floor:
         fails.append(
             f"operator-vs-CSR memory win {win.get('memory_win_factor')!r} < {floor}"

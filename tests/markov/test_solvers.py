@@ -347,6 +347,44 @@ class TestReducedSystem:
         assert np.abs(direct - ref).max() < 1e-12
         assert np.abs(gmres - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("method", ["direct", "gmres"])
+    @pytest.mark.parametrize("n", [200, 1100])
+    def test_light_pin_is_replaced(self, method, n):
+        # M/M/1/n at rho = 1/2: pi_n ~ 2^-n pi_0.  Pinned at the last state,
+        # the final LU pivot (~2^-n) cancels to zero, and x = pi / pi_n
+        # overflows once n > 1024.
+        rho = 0.5
+        Q = sp.csr_matrix(birth_death_generator(n, rho, 1.0))
+        pi = steady_state_ctmc(Q, method=method)
+        expected = rho ** np.arange(n + 1) * (1.0 - rho) / (1.0 - rho ** (n + 1))
+        assert np.abs(pi - expected).max() < 1e-12
+        assert pi[0] == pytest.approx(0.5, rel=1e-12)
+        if n > 1074:
+            assert pi[-1] == 0.0  # 2^-1101 underflows
+
+    def test_negative_solution_repins_at_heaviest_state(self):
+        # On tpcw N=512 (263,682 states) the last-state pin cancels a pivot
+        # to round-off of the wrong sign, and x comes out hugely negative.
+        # A factor stub gives that outcome on a chain small enough to test.
+        from repro.markov import ctmc
+
+        Q = sp.csr_matrix(birth_death_generator(10, 0.5, 1.0))
+        pins = []
+
+        def flipped_once(A, b):
+            x = spla.spsolve(A, b)
+            pins.append(x)
+            return None, -x if len(pins) == 1 else x
+
+        keep, pin, _, _, _, x = ctmc._pinned_solve(
+            Q, np.arange(11), flipped_once, 10
+        )
+        assert len(pins) == 2
+        assert pin == 0  # x = pi / pi_10 peaks at state 0
+        expected = 0.5 ** np.arange(11)
+        pi = ctmc._expand(keep, pin, x, 11)
+        assert np.abs(pi - expected / expected.sum()).max() < 1e-15
+
     def test_lu_fill_and_solve_span(self):
         from repro import obs
 

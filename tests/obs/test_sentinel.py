@@ -152,10 +152,9 @@ class TestBaselineGates:
         assert "kron_registry_solves" in report.regressions[0]
 
     def test_kron_memory_win_floor_is_preset_aware(self, tmp_path):
-        from repro.obs.sentinel import BASELINE_FLOORS
+        from repro.obs.sentinel import KRON_MEMORY_WIN_FLOOR
 
-        floors = BASELINE_FLOORS[("kron", "memory_win_factor")]
-        assert floors == {"quick": 4.0, "large": 10.0}
+        assert KRON_MEMORY_WIN_FLOOR == {"quick": 4.0, "large": 10.0}
         entries = [
             {"case": "kron_memory_win", "memory_win_factor": 9.0},
             {"case": "kron_registry_solves", "backend": "auto"},
